@@ -7,6 +7,7 @@ import (
 
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/nameserver"
+	"akamaidns/internal/qod"
 	"akamaidns/internal/udpbatch"
 	"akamaidns/internal/zone"
 )
@@ -78,18 +79,25 @@ func BenchmarkHandleUDPEDNS(b *testing.B) {
 	benchHandle(b, srv, wire)
 }
 
-// BenchmarkHandleUDPNoCache is the slow path every query took before the
-// hot cache and compiled views existed: full decode, zone lookup, and pack
-// per packet (DisableViewServe keeps the view tier out of the way).
+// BenchmarkHandleUDPNoCache is the decode path every query took before the
+// wire tier existed: full decode, zone lookup, and pack per packet, called
+// directly so neither the hot cache nor the compiled views get in the way.
 func BenchmarkHandleUDPNoCache(b *testing.B) {
 	srv := benchServer(b, -1)
-	srv.Cfg.DisableViewServe = true
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	wire, err := q.Pack()
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchHandle(b, srv, wire)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := srv.handleSlow(wire, benchSrc, false, sc, qod.LevelFull, false); out == nil {
+			b.Fatal("no response")
+		}
+	}
 }
 
 // benchHandleUnique runs the handle path with a fresh qname every iteration

@@ -66,10 +66,6 @@ type Config struct {
 	// HotCacheSize bounds the packed-response hot cache (0 = default size,
 	// negative disables the cache entirely).
 	HotCacheSize int
-	// DisableViewServe forces cache-miss queries through the full decode
-	// path instead of the compiled-view wire assembly. A differential
-	// debugging and benchmarking aid; leave false in production.
-	DisableViewServe bool
 	// Smax discards queries outright when the pipeline scores at or above
 	// it (0 disables scoring-based discard).
 	Smax float64
@@ -387,10 +383,10 @@ type scratch struct {
 	q   dnswire.Message
 	out []byte
 	key []byte
-	// vq holds the case-folded wire-form qname for the compiled-view path
-	// (kept separate from key, which may carry a live cache-insert key).
-	vq     []byte
-	insert cacheIntent
+	// vq holds the case-folded wire-form qname for the compiled-view
+	// lookup (kept separate from key, which the wire tier still needs for
+	// the cache insert).
+	vq []byte
 	// journal is the worker's crash journal, built lazily on the first
 	// protected packet and kept for the scratch's lifetime.
 	journal *qod.Journal
@@ -402,16 +398,6 @@ type scratch struct {
 	// note accumulates the flight-recorder sample for the packet in hand;
 	// the serving tiers stamp verdict/rcode/qname as they dispose of it.
 	note flight.Sample
-}
-
-// cacheIntent carries a fast-path miss into the slow path: the key bytes
-// (left in scratch.key), the store generation snapshotted before the
-// lookup, and the size-class payload floor the packed response must fit.
-type cacheIntent struct {
-	active   bool
-	gen      uint64
-	floor    int
-	qnameLen int
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -661,8 +647,7 @@ func (s *Server) handle(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 			// kernel would otherwise apply to the socket backlog, except
 			// accounted for.
 			s.shed[qod.LevelSaturated].Add(1)
-			sc.insert = cacheIntent{}
-			sc.note.Verdict = flight.VerdictShed
+			sc.dispose(flight.VerdictShed, 0, "")
 			return nil
 		}
 	}
@@ -677,16 +662,10 @@ func (s *Server) handle(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 				switch outcome {
 				case qod.Blocked:
 					s.Metrics.QoDRefused.Add(1)
-					sc.insert = cacheIntent{}
-					sc.note.Verdict = flight.VerdictQuarantined
-					sc.note.RCode = uint8(dnswire.RCodeRefused)
 					sc.note.QnameWire = v.QnameWire(wire)
 					sc.note.QType = uint16(v.QType)
-					out := refusedFor(wire, v.QnameLen+4, sc.out[:0])
-					if out != nil {
-						sc.out = out
-					}
-					return out
+					sc.dispose(flight.VerdictQuarantined, uint8(dnswire.RCodeRefused), "")
+					return refuseWire(wire, v, sc)
 				case qod.Probation:
 					// TTL lapsed: this query is the re-admission probe. If it
 					// completes we acquit after dispatch; if it panics, the
@@ -703,7 +682,6 @@ func (s *Server) handle(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 		defer func() {
 			if r := recover(); r != nil {
 				resp = nil
-				sc.insert = cacheIntent{}
 				s.containPanic(r, wire, sc.journal)
 				s.noteCrash(wire, sc)
 			}
@@ -730,24 +708,12 @@ func (s *Server) dispatchMaybeTimed(wire []byte, src netip.AddrPort, tcp bool, s
 	return s.dispatch(wire, src, tcp, sc, level)
 }
 
-// noteQuery stamps the flight note from a decoded message (slow path; Name
-// strings are interned, so this never allocates).
-func noteQuery(sc *scratch, q *dnswire.Message, verdict flight.Verdict, rcode uint8, zone string) {
+// dispose stamps how the packet in hand was disposed of into its flight
+// note; each tier stamps the qname and type once it has parsed them.
+func (sc *scratch) dispose(verdict flight.Verdict, rcode uint8, zone string) {
 	sc.note.Verdict = verdict
 	sc.note.RCode = rcode
 	sc.note.Zone = zone
-	if len(q.Questions) == 1 {
-		sc.note.Qname = q.Questions[0].Name.String()
-		sc.note.QType = uint16(q.Questions[0].Type)
-	}
-}
-
-// noteShed stamps the flight note for a pipeline or ladder shed.
-func (s *Server) noteShed(sc *scratch, qname string, qtype uint16, rcode uint8) {
-	sc.note.Verdict = flight.VerdictShed
-	sc.note.Qname = qname
-	sc.note.QType = qtype
-	sc.note.RCode = rcode
 }
 
 // zoneLabel renders a zone origin for the flight rollup ("" when none
@@ -773,169 +739,104 @@ func (s *Server) noteCrash(wire []byte, sc *scratch) {
 	}
 }
 
-// dispatch is the unguarded serving pipeline, a ladder of progressively
-// more expensive tiers: the packed-response hot cache (exact repeats), the
-// compiled-view wire assembly (any canonical-shape query, including
-// cache-busting misses), then the full decode/score/answer/encode slow
-// path — shedding per the degradation level on the way. The canonical-shape
-// query parse happens once and feeds every tier.
+// dispatch is the unguarded serving pipeline, two tiers behind one
+// admission gate: the wire tier (hot cache, then compiled views; wire.go)
+// answers any wireEligible UDP query without decoding it, and the decode
+// path takes everything else — shedding per the degradation level on the
+// way. The canonical-shape query parse happens once and feeds both.
 func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
 	var v dnswire.QueryView
 	viewOK := false
 	if !tcp {
-		v, viewOK = dnswire.ParseQueryView(wire)
-	}
-	if viewOK && s.hot != nil && s.Engine.Tailor == nil && !s.Cfg.RequireCookies {
-		if out, done := s.handleFast(wire, v, src, sc); done {
-			return out
+		if v, viewOK = dnswire.ParseQueryView(wire); viewOK && v.Response() {
+			return nil // QR-bit filtering: reflection junk is dropped silently
 		}
 	}
-	if level >= qod.LevelDegraded && s.Pipeline != nil &&
-		!s.Pipeline.Allowlisted(s.resolverKey(src.Addr())) {
-		// Degraded: the expensive slow path is reserved for historically-
-		// known resolvers; everyone else gets hot-cache answers (above) or
-		// this cheap wire-level REFUSED.
-		s.shed[qod.LevelDegraded].Add(1)
-		sc.insert = cacheIntent{}
-		sc.note.Verdict = flight.VerdictShed
-		if viewOK {
-			sc.note.QnameWire = v.QnameWire(wire)
-			sc.note.QType = uint16(v.QType)
-			if out := refusedFor(wire, v.QnameLen+4, sc.out[:0]); out != nil {
-				sc.note.RCode = uint8(dnswire.RCodeRefused)
-				sc.out = out
-				return out
-			}
-		}
-		return nil
+	if viewOK && s.wireEligible(v) {
+		return s.handleWire(wire, v, src, sc, level)
 	}
-	// Cookie-bearing queries bail inside handleView (v.HasCookie); with
-	// RequireCookies every cookie-less UDP query must reach the slow path's
-	// refuse-with-cookie, so the whole tier is skipped.
-	if viewOK && !s.Cfg.DisableViewServe && s.Engine.Tailor == nil &&
-		!s.Cfg.RequireCookies {
-		if out, done := s.handleView(wire, v, src, sc, level); done {
-			return out
-		}
+	if out, shed := s.shedDegraded(wire, v, viewOK, src, sc, level); shed {
+		return out
 	}
-	return s.handleSlow(wire, src, tcp, sc, level)
+	return s.handleSlow(wire, src, tcp, sc, level, false)
 }
 
-// sizeClassUDP buckets a query's advertised payload limit so one cached
-// wire can serve every client in the bucket: the cached response is fitted
-// to the bucket's floor, the smallest limit a member may have advertised.
-// Clients advertising below the classic 512-octet minimum are eccentric
-// enough to take the slow path.
-func sizeClassUDP(v dnswire.QueryView) (class byte, floor int, ok bool) {
-	if !v.HasOPT {
-		return 2, dnswire.MaxUDPPayload, true
-	}
-	size := int(v.UDPSize)
-	switch {
-	case size < dnswire.MaxUDPPayload:
-		return 0, 0, false
-	case size < 1232:
-		return 3, dnswire.MaxUDPPayload, true
-	case size < 4096:
-		return 4, 1232, true
-	default:
-		return 5, 4096, true
-	}
-}
+// scoring reports whether queries are scored and admitted at all.
+func (s *Server) scoring() bool { return s.Pipeline != nil && s.Cfg.Smax > 0 }
 
-// handleFast attempts the packed-response path. It reports done=false when
-// the query must take the slow path — either ineligible (client-specific
-// answer: cookies, ECS, odd shape) or a cache miss, in which case
-// sc.insert tells the slow path to populate the cache. On a hit the cached
-// wire is replayed with the ID, RD bit, and qname casing patched, so 0x20
-// mixed-case encoding round-trips exactly.
-func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch) ([]byte, bool) {
-	if v.Response() {
-		return nil, true // QR-bit filtering: reflection junk is dropped silently
-	}
-	if v.OpCode() != dnswire.OpQuery || v.QClass != dnswire.ClassINET {
+// shedDegraded applies the Degraded level to a query the hot cache did not
+// answer: the expensive tiers are reserved for historically-known
+// resolvers, and everyone else gets a cheap wire-level REFUSED (nothing,
+// when the packet has no canonical question to echo). It reports whether
+// the query was shed.
+func (s *Server) shedDegraded(wire []byte, v dnswire.QueryView, viewOK bool, src netip.AddrPort, sc *scratch, level int) ([]byte, bool) {
+	if level < qod.LevelDegraded || s.Pipeline == nil || s.Pipeline.Allowlisted(s.resolverKey(src.Addr())) {
 		return nil, false
 	}
-	switch v.QType {
-	case dnswire.TypeAXFR, dnswire.TypeIXFR, dnswire.TypeANY:
-		return nil, false
+	s.shed[qod.LevelDegraded].Add(1)
+	if !viewOK {
+		sc.dispose(flight.VerdictShed, 0, "")
+		return nil, true
 	}
-	if v.HasECS || v.HasCookie {
-		return nil, false
-	}
-	class, floor, ok := sizeClassUDP(v)
-	if !ok {
-		return nil, false
-	}
-	span := s.Tracer.Begin()
-	span.Mark(obs.StageReceive)
-	span.Mark(obs.StageCookie)
-	gen := s.Engine.Store.Gen()
-	sc.key = v.AppendCacheKey(sc.key[:0], wire, class)
-	e, hit := s.hot.Lookup(sc.key, gen)
-	if !hit {
-		sc.insert = cacheIntent{active: true, gen: gen, floor: floor, qnameLen: v.QnameLen}
-		return nil, false
-	}
-	// Pipeline parity: cached answers score and pass ladder admission
-	// exactly like slow-path ones, using the entry's parsed name and zone.
-	if s.Pipeline != nil && s.Cfg.Smax > 0 {
-		fq := filters.Query{
-			Resolver: s.resolverKey(src.Addr()),
-			Name:     e.Name,
-			Type:     v.QType,
-			Zone:     e.Zone,
-			IPTTL:    64,
-			Now:      s.now(),
-		}
-		score, _ := s.Pipeline.Score(&fq)
-		span.Mark(obs.StageScore)
-		if s.admission != nil {
-			switch s.admission.Admit(score) {
-			case queue.Discarded:
-				s.Metrics.Discarded.Add(1)
-				s.noteShed(sc, e.Name.String(), uint16(v.QType), 0)
-				return nil, true
-			case queue.TailDropped:
-				s.Metrics.TailDropped.Add(1)
-				s.noteShed(sc, e.Name.String(), uint16(v.QType), 0)
-				return nil, true
-			}
-		} else if score >= s.Cfg.Smax {
-			s.Metrics.Discarded.Add(1)
-			s.noteShed(sc, e.Name.String(), uint16(v.QType), 0)
-			return nil, true
-		}
-		span.Mark(obs.StageQueue)
-	}
-	span.Mark(obs.StageLookup)
-	sc.note.Verdict = flight.VerdictCached
-	sc.note.RCode = uint8(e.RCode)
 	sc.note.QnameWire = v.QnameWire(wire)
 	sc.note.QType = uint16(v.QType)
-	sc.note.Zone = zoneLabel(e.Zone)
-	out := append(sc.out[:0], e.Wire...)
-	out[0], out[1] = byte(v.ID>>8), byte(v.ID)
-	if v.RecursionDesired() {
-		out[2] |= 0x01
-	} else {
-		out[2] &^= 0x01
+	sc.dispose(flight.VerdictShed, uint8(dnswire.RCodeRefused), "")
+	return refuseWire(wire, v, sc), true
+}
+
+// admit is the one admission gate (§4.3.3-4.3.4) both tiers share, so each
+// query is scored once: the filter pipeline scores fq (resolver, name,
+// type and zone filled in by the caller), the penalty ladder discards it
+// at S >= Smax or tail-drops it on overload, and with refuseDirty (the
+// CleanOnly level) a query scored above the lowest-penalty rung is
+// refused. ok reports that the query may be answered; otherwise refuse
+// tells the caller to answer REFUSED rather than nothing. Only called when
+// s.scoring().
+func (s *Server) admit(sc *scratch, span *obs.Span, fq *filters.Query, refuseDirty bool) (ok, refuse bool) {
+	fq.IPTTL = 64 // kernel does not expose arriving TTL portably
+	fq.Now = s.now()
+	score, _ := s.Pipeline.Score(fq)
+	span.Mark(obs.StageScore)
+	shed := false
+	if s.admission != nil {
+		// Queue admission: serving is synchronous, so admitted queries pass
+		// straight through the ladder, but discard and tail drop decisions —
+		// and the depth gauges — are the production ones.
+		switch s.admission.Admit(score) {
+		case queue.Discarded:
+			s.Metrics.Discarded.Add(1)
+			shed = true
+		case queue.TailDropped:
+			s.Metrics.TailDropped.Add(1)
+			shed = true
+		}
+	} else if score >= s.Cfg.Smax {
+		// Pipeline attached after construction: no ladder, plain discard.
+		s.Metrics.Discarded.Add(1)
+		shed = true
 	}
-	// Restore the client's exact qname spelling (0x20 case randomization).
-	copy(out[12:12+v.QnameLen], wire[12:12+v.QnameLen])
-	sc.out = out
-	span.Mark(obs.StageWrite)
-	span.End()
-	return out, true
+	if shed {
+		sc.dispose(flight.VerdictShed, 0, "")
+		return false, false
+	}
+	if refuseDirty && s.admission != nil && s.admission.Rung(score) > 0 {
+		// Clean-only: at ≥85% of the in-flight ceiling, only queries in the
+		// lowest-penalty rung are worth the remaining capacity.
+		s.shed[qod.LevelCleanOnly].Add(1)
+		sc.dispose(flight.VerdictShed, uint8(dnswire.RCodeRefused), "")
+		return false, true
+	}
+	span.Mark(obs.StageQueue)
+	return true, false
 }
 
 // handleSlow decodes, scores, answers, and encodes one message. Returns
 // nil when the query is dropped (discard or undecodable with no usable
-// header). The tracer stamps each stage: receive (decode) → cookie →
-// score → queue → lookup → write (encode/truncate).
-func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
-	intent := sc.insert
-	sc.insert = cacheIntent{}
+// header). admitted marks a query the wire tier already scored and
+// admitted, which is not scored again. The tracer stamps each stage:
+// receive (decode) → cookie → score → queue → lookup → write
+// (encode/truncate).
+func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int, admitted bool) []byte {
 	span := s.Tracer.Begin()
 	q := &sc.q
 	err := dnswire.UnpackInto(q, wire)
@@ -963,12 +864,12 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		}
 		r := dnswire.NewResponse(q)
 		r.Authoritative = true
-		out, err := r.AppendPack(sc.out[:0])
-		if err != nil {
-			return nil
-		}
-		sc.out = out
-		return out
+		return packReply(r, sc)
+	}
+	if len(q.Questions) == 1 {
+		// Name strings are interned, so this never allocates.
+		sc.note.Qname = q.Questions[0].Name.String()
+		sc.note.QType = uint16(q.Questions[0].Type)
 	}
 	// DNS Cookies: a valid server cookie proves the source address.
 	var clientCookie *dnswire.Cookie
@@ -981,7 +882,7 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		if s.Cfg.RequireCookies && !tcp && !cookieValid {
 			// Refuse, attaching the correct cookie so a real (non-spoofed)
 			// client can immediately retry with it.
-			noteQuery(sc, q, flight.VerdictServed, uint8(dnswire.RCodeRefused), "")
+			sc.dispose(flight.VerdictServed, uint8(dnswire.RCodeRefused), "")
 			r := dnswire.NewResponse(q)
 			r.RCode = dnswire.RCodeRefused
 			opt := dnswire.NewOPT(1232)
@@ -992,80 +893,27 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 				})
 			}
 			r.Additional = append(r.Additional, opt)
-			out, err := r.AppendPack(sc.out[:0])
-			if err != nil {
-				return nil
-			}
-			sc.out = out
-			return out
+			return packReply(r, sc)
 		}
 	}
 	span.Mark(obs.StageCookie)
-	srcKey := ""
-	if s.Pipeline != nil && len(q.Questions) == 1 && s.Cfg.Smax > 0 && !cookieValid {
-		srcKey = s.resolverKey(src.Addr())
-		fq := filters.Query{
-			Resolver: srcKey,
-			Name:     q.Questions[0].Name,
-			Type:     q.Questions[0].Type,
-			IPTTL:    64, // kernel does not expose arriving TTL portably
-			Now:      s.now(),
-		}
+	srcKey := s.resolverKey(src.Addr())
+	if !admitted && s.scoring() && len(q.Questions) == 1 && !cookieValid {
+		fq := filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
 		if z := s.Engine.Store.Find(fq.Name); z != nil {
 			fq.Zone = z.Origin()
 		}
-		score, _ := s.Pipeline.Score(&fq)
-		span.Mark(obs.StageScore)
-		if s.admission != nil {
-			// Queue admission (§4.3.3): serving is synchronous, so admitted
-			// queries pass straight through the ladder, but discard and tail
-			// drop decisions — and the depth gauges — are the production ones.
-			switch s.admission.Admit(score) {
-			case queue.Discarded:
-				s.Metrics.Discarded.Add(1)
-				noteQuery(sc, q, flight.VerdictShed, 0, "")
-				return nil
-			case queue.TailDropped:
-				s.Metrics.TailDropped.Add(1)
-				noteQuery(sc, q, flight.VerdictShed, 0, "")
+		if ok, refuse := s.admit(sc, &span, &fq, level >= qod.LevelCleanOnly); !ok {
+			if !refuse {
 				return nil
 			}
-		} else if score >= s.Cfg.Smax {
-			// Pipeline attached after construction: no ladder, plain discard.
-			s.Metrics.Discarded.Add(1)
-			noteQuery(sc, q, flight.VerdictShed, 0, "")
-			return nil
-		}
-		if level >= qod.LevelCleanOnly && s.admission != nil && s.admission.Rung(score) > 0 {
-			// Clean-only: at ≥85% of the in-flight ceiling, only queries in
-			// the lowest-penalty rung are worth the remaining capacity;
-			// scored tiers above it are refused outright.
-			s.shed[qod.LevelCleanOnly].Add(1)
-			noteQuery(sc, q, flight.VerdictShed, uint8(dnswire.RCodeRefused), "")
 			r := dnswire.NewResponse(q)
 			r.RCode = dnswire.RCodeRefused
-			out, err := r.AppendPack(sc.out[:0])
-			if err != nil {
-				return nil
-			}
-			sc.out = out
-			return out
+			return packReply(r, sc)
 		}
-		span.Mark(obs.StageQueue)
-	}
-	if srcKey == "" {
-		srcKey = s.resolverKey(src.Addr())
 	}
 	resp, matched, crashed := s.Engine.Answer(q, nameserver.ResolverKey(srcKey))
 	span.Mark(obs.StageLookup)
-	if !crashed && s.Cfg.Cookies && clientCookie != nil {
-		if ro := resp.OPT(); ro != nil {
-			ro.SetCookie(dnswire.Cookie{
-				Client: clientCookie.Client,
-				Server: dnswire.ComputeServerCookie(clientCookie.Client, src.Addr(), s.Cfg.CookieSecret),
-			})
-		}
-	}
 	if crashed {
 		if s.qodGuard != nil {
 			// Containment is on: surface the crash as a real panic so the
@@ -1075,10 +923,18 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		}
 		// The real process would die; over sockets we emulate by not
 		// answering (the resolver times out), mirroring §4.2.4.
-		noteQuery(sc, q, flight.VerdictCrashed, 0, "")
+		sc.dispose(flight.VerdictCrashed, 0, "")
 		return nil
 	}
-	noteQuery(sc, q, flight.VerdictServed, uint8(resp.RCode), zoneLabel(matched))
+	if s.Cfg.Cookies && clientCookie != nil {
+		if ro := resp.OPT(); ro != nil {
+			ro.SetCookie(dnswire.Cookie{
+				Client: clientCookie.Client,
+				Server: dnswire.ComputeServerCookie(clientCookie.Client, src.Addr(), s.Cfg.CookieSecret),
+			})
+		}
+	}
+	sc.dispose(flight.VerdictServed, uint8(resp.RCode), zoneLabel(matched))
 	if resp.RCode == dnswire.RCodeFormErr {
 		s.Metrics.FormErr.Add(1)
 	}
@@ -1100,21 +956,18 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 	if fitted.Truncated {
 		s.Metrics.Truncated.Add(1)
 	}
-	// Populate the hot cache when the fast path asked for it and the
-	// response is replayable: untruncated, within the size class's floor,
-	// and not an error about the query's own form. Cookie echo cannot have
-	// happened here — cookie-bearing queries never set an intent.
-	if intent.active && !fitted.Truncated && len(wireOut) <= intent.floor &&
-		resp.RCode != dnswire.RCodeFormErr && len(q.Questions) == 1 {
-		s.hot.Insert(sc.key, &nameserver.HotEntry{
-			Wire:     append([]byte(nil), wireOut...),
-			QnameLen: intent.qnameLen,
-			Name:     q.Questions[0].Name,
-			Zone:     matched,
-			RCode:    resp.RCode,
-		}, intent.gen)
-	}
 	return wireOut
+}
+
+// packReply packs a decode-path reply into the scratch buffer (nil when it
+// cannot be encoded).
+func packReply(r *dnswire.Message, sc *scratch) []byte {
+	out, err := r.AppendPack(sc.out[:0])
+	if err != nil {
+		return nil
+	}
+	sc.out = out
+	return out
 }
 
 // formErrFor builds a FORMERR reply for an undecodable packet, directly as

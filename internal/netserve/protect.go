@@ -200,21 +200,18 @@ func replayMessage(s *Server, q *dnswire.Message) (crashed bool) {
 	return crashed
 }
 
-// refusedFor builds a REFUSED reply directly as wire bytes for a quarantined
-// or shed query: header echoed with QR set, AA/TC/RA cleared,
-// RCODE=REFUSED, and only the question section retained (qlen is the
-// question's wire length, qname plus the 4 type/class octets). Packets too
-// short to carry the question report nil.
-func refusedFor(wire []byte, qlen int, out []byte) []byte {
-	if len(wire) < 12+qlen {
-		return nil
-	}
-	out = append(out,
+// refuseWire answers a quarantined or shed query with REFUSED, built
+// directly as wire bytes into the scratch buffer: header echoed with QR
+// set, AA/TC/RA cleared, RCODE=REFUSED, and only the question section
+// retained (ParseQueryView guarantees the packet carries all of it).
+func refuseWire(wire []byte, v dnswire.QueryView, sc *scratch) []byte {
+	sc.out = append(sc.out[:0],
 		wire[0], wire[1], // ID
 		0x80|wire[2]&0x79,          // QR=1, opcode and RD echoed, AA/TC clear
 		byte(dnswire.RCodeRefused), // RA/Z clear, RCODE=REFUSED
 		0, 1, 0, 0, 0, 0, 0, 0)     // one question, nothing else
-	return append(out, wire[12:12+qlen]...)
+	sc.out = append(sc.out, wire[12:12+v.QnameLen+4]...)
+	return sc.out
 }
 
 // Suspended reports whether the watchdog currently holds the server in live

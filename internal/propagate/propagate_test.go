@@ -272,6 +272,28 @@ func TestSourceNoHistoryBootstrapsFromStore(t *testing.T) {
 	}
 }
 
+// TestSourceSyncSeesDirectSerialBump: the source skips its history sweep
+// while the store generation is unchanged, yet a serial bumped directly on
+// a live zone (no control plane involved) is still served as a delta.
+func TestSourceSyncSeesDirectSerialBump(t *testing.T) {
+	ctl := zone.NewStore()
+	ctl.Put(mkZone(t, "a.test", 3, ""))
+	ctl.Put(mkZone(t, "b.test", 5, ""))
+	src := NewSource(ctl, nil)
+	origin := dnswire.MustName("a.test")
+	if resp := src.Handle(Request{Op: OpIXFR, Origin: origin, FromSerial: 3}); resp.Resync {
+		t.Fatalf("initial sync: %+v", resp)
+	}
+	ctl.Get(origin).SetSerial(4)
+	resp := src.Handle(Request{Op: OpIXFR, Origin: origin, FromSerial: 3})
+	if !resp.Verify() || resp.Resync || resp.ToSerial != 4 || resp.Delta.FromSerial != 3 {
+		t.Fatalf("direct serial bump not served as a delta: %+v", resp)
+	}
+	if serials := src.Handle(Request{Op: OpCatalog}).Serials; serials[origin] != 4 {
+		t.Fatalf("catalog serial = %d, want 4", serials[origin])
+	}
+}
+
 func TestResponseSealVerify(t *testing.T) {
 	ctl := zone.NewStore()
 	ctl.Put(mkZone(t, "a.test", 1, "r1 IN A 192.0.2.61\nr2 IN A 192.0.2.62\n"))

@@ -21,6 +21,11 @@ type Source struct {
 	store *zone.Store
 	hist  *zone.History
 	mu    sync.Mutex // serializes lazy history sync
+	// syncedGen is the store generation the last completed sync swept
+	// (meaningful once synced is set): an unchanged generation means no
+	// serial can have moved since.
+	syncedGen uint64
+	synced    bool
 }
 
 // NewSource serves the pull protocol from store, using hist for deltas.
@@ -38,9 +43,19 @@ func (s *Source) History() *zone.History { return s.hist }
 func (s *Source) Store() *zone.Store { return s.store }
 
 // sync records any zone whose live serial is not the newest retained one.
+// The sweep is O(zones), so it runs only when the store generation moved
+// since the last one; otherwise a machine's cold sync, one request per
+// zone, would cost O(zones²).
 func (s *Source) sync() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Read the generation before the serial snapshot: a mutation bumps the
+	// generation after changing the serial, so one the snapshot misses
+	// leaves the generation past gen and the next request sweeps again.
+	gen := s.store.Gen()
+	if s.synced && gen == s.syncedGen {
+		return
+	}
 	for origin, serial := range s.store.Serials() {
 		if s.hist.Latest(origin) != serial {
 			if z := s.store.Get(origin); z != nil {
@@ -48,6 +63,7 @@ func (s *Source) sync() {
 			}
 		}
 	}
+	s.syncedGen, s.synced = gen, true
 }
 
 // Handle answers one request synchronously. Transports call it at

@@ -2,17 +2,20 @@ package qod
 
 import "sync/atomic"
 
-// Degradation ladder positions (§5.2: shed by score, not at random). Each
-// level keeps everything the levels below it keep and sheds more:
+// Degradation ladder positions (§5.2: shed by score, not at random). The
+// socket server has two serving tiers — the wire tier (hot cache, then
+// compiled views) and the decode path — behind one admission gate that
+// scores every query once. Each level keeps everything the levels below it
+// keep and sheds more:
 //
-//	LevelFull      — full service.
-//	LevelDegraded  — the expensive slow path is reserved for allowlisted
-//	                 resolvers; everyone else gets hot-cache answers or a
-//	                 cheap REFUSED.
-//	CleanOnly      — additionally, only queries scoring into the
-//	                 lowest-penalty queue rung are served; scored tiers
-//	                 above it are REFUSED.
-//	LevelSaturated — at/above the in-flight ceiling: drop without answering
+//	LevelFull      — full service; the gate only discards at S >= Smax.
+//	LevelDegraded  — hot-cache hits are still served to everyone; any other
+//	                 query, in either tier, is reserved for allowlisted
+//	                 resolvers, and everyone else gets a cheap REFUSED.
+//	CleanOnly      — additionally, the gate refuses compiled-view and
+//	                 decode-path queries scoring above the lowest-penalty
+//	                 queue rung (hot-cache hits are still served).
+//	LevelSaturated — above the in-flight ceiling: drop without answering
 //	                 (the backstop the kernel would otherwise apply blindly).
 const (
 	LevelFull = iota

@@ -245,3 +245,48 @@ func TestBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("batched I/O allocates: %.1f allocs per batch", allocs)
 	}
 }
+
+// TestReadWhileFlush drives the package's concurrency contract: one
+// goroutine reads batches while another stages and flushes on the same
+// Conn. Under -race it proves the two directions share no result state.
+func TestReadWhileFlush(t *testing.T) {
+	const k, rounds = 8, 200
+	a, b := listen(t), listen(t)
+	c, err := New(a, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aAddr := a.LocalAddr().(*net.UDPAddr).AddrPort()
+	bAddr := b.LocalAddr().(*net.UDPAddr).AddrPort()
+	a.SetReadDeadline(time.Now().Add(10 * time.Second))
+	readErr := make(chan error, 1)
+	go func() {
+		got := 0
+		for got < rounds {
+			n, err := c.ReadBatch()
+			if err != nil {
+				readErr <- fmt.Errorf("ReadBatch after %d of %d datagrams: %v", got, rounds, err)
+				return
+			}
+			got += n
+		}
+		readErr <- nil
+	}()
+	payload := []byte("read-while-flush")
+	for i := 0; i < rounds; i++ {
+		// The peer feeds the reader one datagram per round; the Conn
+		// answers the peer in the same round, from this goroutine.
+		if _, err := b.WriteToUDPAddrPort(payload, aAddr); err != nil {
+			t.Fatal(err)
+		}
+		if !c.StageAddr(0, payload, bAddr) {
+			t.Fatal("StageAddr refused")
+		}
+		if sent, _, err := c.Flush(1); err != nil || sent != 1 {
+			t.Fatalf("Flush = %d sent, %v", sent, err)
+		}
+	}
+	if err := <-readErr; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,7 +18,7 @@ import (
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	z := New(origin)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	curOrigin := origin
 	defaultTTL := uint32(300)
 	var lastName dnswire.Name

@@ -321,6 +321,24 @@ func TestParseMasterErrors(t *testing.T) {
 	}
 }
 
+// TestParseMasterLineCap: the scanner grows its buffer on demand, so a
+// long line still parses, while the 1 MiB line cap keeps rejecting
+// anything longer.
+func TestParseMasterLineCap(t *testing.T) {
+	long := "www IN A 192.0.2.1 ; " + strings.Repeat("x", 200<<10) + "\n"
+	z, err := ParseMaster(strings.NewReader(long), n("example.com"))
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if rrs := z.RRset(n("www.example.com"), dnswire.TypeA); len(rrs) != 1 {
+		t.Fatalf("200 KiB line: %d A records, want 1", len(rrs))
+	}
+	tooLong := "www IN A 192.0.2.1 ; " + strings.Repeat("x", 1<<20) + "\n"
+	if _, err := ParseMaster(strings.NewReader(tooLong), n("example.com")); err == nil {
+		t.Fatal("line over 1 MiB accepted")
+	}
+}
+
 func TestParseMasterContinuationOwner(t *testing.T) {
 	text := "www IN A 192.0.2.1\n    IN A 192.0.2.2\n"
 	z, err := ParseMaster(strings.NewReader(text), n("example.com"))
